@@ -48,4 +48,14 @@ struct ExpectationUncertainty {
     const Bipartition& bp, const FragmentData& data, const NeglectSpec& spec,
     const DiagonalObservable& observable, const BootstrapOptions& options = {});
 
+/// Chain bootstrap: every variant of every fragment is resampled, fragment
+/// by fragment in ascending packed-key order.
+[[nodiscard]] DistributionUncertainty bootstrap_distribution(
+    const FragmentGraph& graph, const ChainFragmentData& data, const ChainNeglectSpec& spec,
+    const BootstrapOptions& options = {});
+
+[[nodiscard]] ExpectationUncertainty bootstrap_expectation(
+    const FragmentGraph& graph, const ChainFragmentData& data, const ChainNeglectSpec& spec,
+    const DiagonalObservable& observable, const BootstrapOptions& options = {});
+
 }  // namespace qcut::cutting

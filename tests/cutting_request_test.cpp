@@ -269,6 +269,16 @@ TEST(CutRequestRun, BootstrapUncertaintyIsAttachedOnRequest) {
   EXPECT_EQ(response.uncertainty->estimate, *response.expectation);
   EXPECT_GT(response.uncertainty->standard_error, 0.0);
   EXPECT_LE(response.uncertainty->ci_lower, response.uncertainty->ci_upper);
+
+  // Transitional check: the service's N=2 bootstrap (through the
+  // Bipartition view) equals the chain port on the response's own data.
+  const ExpectationUncertainty chain = bootstrap_expectation(
+      response.graph, response.data, response.specs,
+      DiagonalObservable::from_pauli(circuit::PauliString::parse("ZZZZZ")), boot);
+  EXPECT_EQ(chain.estimate, response.uncertainty->estimate);
+  EXPECT_EQ(chain.standard_error, response.uncertainty->standard_error);
+  EXPECT_EQ(chain.ci_lower, response.uncertainty->ci_lower);
+  EXPECT_EQ(chain.ci_upper, response.uncertainty->ci_upper);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
 #include "common/error.hpp"
+#include "common/ordered.hpp"
 #include "cutting/pipeline.hpp"
 #include "sim/statevector.hpp"
 
@@ -166,6 +167,85 @@ TEST(Bootstrap, DeterministicForSeed) {
       bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), options);
   EXPECT_EQ(a.mean, b.mean);
   EXPECT_EQ(a.ci_lower, b.ci_lower);
+}
+
+// Transitional check: the chain port must reproduce the Bipartition
+// bootstrap bit for bit on every fixture above.
+void expect_same(const DistributionUncertainty& a, const DistributionUncertainty& b) {
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.standard_error, b.standard_error);
+  EXPECT_EQ(a.ci_lower, b.ci_lower);
+  EXPECT_EQ(a.ci_upper, b.ci_upper);
+}
+void expect_same(const ExpectationUncertainty& a, const ExpectationUncertainty& b) {
+  EXPECT_EQ(a.estimate, b.estimate);
+  EXPECT_EQ(a.standard_error, b.standard_error);
+  EXPECT_EQ(a.ci_lower, b.ci_lower);
+  EXPECT_EQ(a.ci_upper, b.ci_upper);
+}
+ChainFragmentData to_chain(const FragmentData& data) {
+  ChainFragmentData out;
+  out.fragments.resize(2);
+  out.fragments[0].width = data.f1_width;
+  out.fragments[1].width = data.f2_width;
+  out.boundary_num_cuts = {data.num_cuts};
+  out.shots_per_variant = data.shots_per_variant;
+  for (std::uint32_t s : sorted_keys(data.upstream)) {
+    out.fragments[0].variants.emplace(pack_variant_key({0, s}), data.upstream.at(s));
+  }
+  for (std::uint32_t p : sorted_keys(data.downstream)) {
+    out.fragments[1].variants.emplace(pack_variant_key({p, 0}), data.downstream.at(p));
+  }
+  return out;
+}
+
+TEST(Bootstrap, ChainPortEqualsBipartitionPath) {
+  const std::array<std::pair<std::size_t, std::uint64_t>, 6> fixtures = {
+      {{4000, 1}, {500, 2}, {50000, 2}, {8000, 3}, {100, 6}, {1000, 7}}};
+  circuit::PauliString z_all(5);
+  for (int q = 0; q < 5; ++q) z_all.set_label(q, linalg::Pauli::Z);
+  const DiagonalObservable obs = DiagonalObservable::from_pauli(z_all);
+  for (const auto& [shots, seed] : fixtures) {
+    const Fixture fx = Fixture::make(shots, seed);
+    const std::array<circuit::WirePoint, 1> cuts = {fx.ansatz.cut};
+    const FragmentGraph graph = make_fragment_graph(fx.ansatz.circuit, cuts);
+    const ChainFragmentData chain = to_chain(fx.data);
+    const ChainNeglectSpec spec({NeglectSpec::none(1)});
+    for (std::uint64_t boot_seed : {1234ull, 99ull}) {
+      BootstrapOptions options;
+      options.replicas = 40;
+      options.seed = boot_seed;
+      expect_same(bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), options),
+                  bootstrap_distribution(graph, chain, spec, options));
+      expect_same(bootstrap_expectation(fx.bp, fx.data, NeglectSpec::none(1), obs, options),
+                  bootstrap_expectation(graph, chain, spec, obs, options));
+    }
+  }
+  // The golden fixture: full and golden data under their own specs.
+  Rng rng(4);
+  circuit::GoldenAnsatzOptions options;
+  options.num_qubits = 5;
+  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
+  const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
+  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  NeglectSpec golden(1);
+  golden.neglect(0, ansatz.golden_basis);
+  backend::StatevectorBackend backend(11);
+  ExecutionOptions exec;
+  exec.shots_per_variant = 4000;
+  const DiagonalObservable parity = DiagonalObservable::parity(5);
+  BootstrapOptions boot;
+  boot.replicas = 100;
+  for (const NeglectSpec& spec : {NeglectSpec::none(1), golden}) {
+    const FragmentData data = execute_fragments(bp, spec, backend, exec);
+    const ChainFragmentData chain_data =
+        execute_chain(graph, ChainNeglectSpec({spec}), backend, exec);
+    ASSERT_EQ(to_chain(data).fragments[0].variants, chain_data.fragments[0].variants);
+    ASSERT_EQ(to_chain(data).fragments[1].variants, chain_data.fragments[1].variants);
+    expect_same(bootstrap_expectation(bp, data, spec, parity, boot),
+                bootstrap_expectation(graph, chain_data, ChainNeglectSpec({spec}), parity, boot));
+  }
 }
 
 }  // namespace
