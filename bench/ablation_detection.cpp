@@ -34,6 +34,23 @@ struct DetectionStats {
   int tested_generic = 0;
 };
 
+/// The upstream fragment's 3 setting distributions (the detector's input),
+/// sampled through an unpruned chain execution.
+std::vector<std::vector<double>> sampled_upstream(const circuit::Circuit& circuit,
+                                                  std::span<const circuit::WirePoint> cuts,
+                                                  backend::Backend& backend, std::size_t shots) {
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(circuit, cuts);
+  cutting::ExecutionOptions exec;
+  exec.shots_per_variant = shots;
+  const cutting::ChainFragmentData data =
+      cutting::execute_chain(graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
+  std::vector<std::vector<double>> upstream;
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    upstream.push_back(data.distribution(0, cutting::FragmentVariantKey{0, s}));
+  }
+  return upstream;
+}
+
 DetectionStats run_detection(std::size_t shots) {
   DetectionStats stats;
 
@@ -47,12 +64,8 @@ DetectionStats run_detection(std::size_t shots) {
     const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
 
     backend::StatevectorBackend backend(2000 + static_cast<std::uint64_t>(i));
-    cutting::ExecutionOptions exec;
-    exec.shots_per_variant = shots;
-    const cutting::FragmentData data =
-        cutting::execute_upstream_only(bp, cutting::NeglectSpec::none(1), backend, exec);
-    std::vector<std::vector<double>> upstream;
-    for (std::uint32_t s = 0; s < 3; ++s) upstream.push_back(data.upstream_distribution(s));
+    const std::vector<std::vector<double>> upstream =
+        sampled_upstream(ansatz.circuit, cuts, backend, shots);
     const cutting::GoldenDetectionReport report =
         cutting::detect_golden_from_counts(bp, upstream, shots);
 
@@ -80,12 +93,7 @@ DetectionStats run_detection(std::size_t shots) {
     const cutting::GoldenDetectionReport exact = cutting::detect_golden_exact(bp, 1e-9);
 
     backend::StatevectorBackend backend(4000 + static_cast<std::uint64_t>(i));
-    cutting::ExecutionOptions exec;
-    exec.shots_per_variant = shots;
-    const cutting::FragmentData data =
-        cutting::execute_upstream_only(bp, cutting::NeglectSpec::none(1), backend, exec);
-    std::vector<std::vector<double>> upstream;
-    for (std::uint32_t s = 0; s < 3; ++s) upstream.push_back(data.upstream_distribution(s));
+    const std::vector<std::vector<double>> upstream = sampled_upstream(c, cuts, backend, shots);
     const cutting::GoldenDetectionReport online =
         cutting::detect_golden_from_counts(bp, upstream, shots);
 

@@ -4,8 +4,8 @@
 // A 3-fragment chain is built so the INTERIOR fragment has width W and K
 // cut wires on each boundary: it must execute 6^K x 3^K variants, and all
 // 3^K setting variants of one prep tuple share "preparations + body"
-// verbatim. The per-variant path simulates every variant from |0...0>; the
-// batched path (ExecutionOptions::prefix_batching, the default) simulates
+// verbatim. The per-variant path (execute_per_variant below) simulates
+// every variant from |0...0>; the batched path (execute_chain) simulates
 // each shared prefix once and forks cheap suffixes through
 // StatevectorBackend::run_batch. Both paths produce bit-for-bit identical
 // data — the totals and every per-variant distribution are compared after
@@ -30,6 +30,7 @@
 #include "common/table.hpp"
 #include "cutting/fragment_executor.hpp"
 #include "cutting/reconstructor.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -93,9 +94,47 @@ ChainFixture make_fixture(int interior_width, int cuts, int interior_depth, std:
   return fixture;
 }
 
-/// Best-of-`repeats` wall seconds for one execute_chain configuration.
-/// `last_data_out` receives the data of the final repeat (fixed seeds, so
-/// the two paths' final repeats are comparable bit for bit).
+/// The per-variant reference: execute_chain's work order, shot plan and
+/// seed streams, but every variant simulated alone through Backend::run,
+/// fanned out over the global pool.
+cutting::ChainFragmentData execute_per_variant(const cutting::FragmentGraph& graph,
+                                               const cutting::ChainNeglectSpec& spec,
+                                               backend::Backend& backend,
+                                               const cutting::ExecutionOptions& options) {
+  std::vector<std::pair<int, cutting::FragmentVariantKey>> work;
+  for (int f = 0; f < graph.num_fragments(); ++f) {
+    for (const cutting::FragmentVariantKey& key :
+         cutting::required_fragment_variants(graph, f, spec)) {
+      work.emplace_back(f, key);
+    }
+  }
+  const std::vector<std::size_t> shots_for = cutting::plan_variant_shots(
+      options.shots_per_variant, options.total_shot_budget, options.exact, work.size());
+
+  std::vector<std::vector<double>> results(work.size());
+  parallel::parallel_for(parallel::ThreadPool::global(), 0, work.size(), [&](std::size_t v) {
+    const auto& [f, key] = work[v];
+    const circuit::Circuit variant = cutting::make_fragment_variant(graph, f, key).circuit;
+    const std::uint64_t stream = options.seed_stream_base + cutting::fragment_seed_offset(f) +
+                                 cutting::variant_seed_index(graph, f, key);
+    results[v] = backend.run(variant, shots_for[v], stream).to_probabilities();
+  });
+
+  cutting::ChainFragmentData data = cutting::make_chain_data(graph);
+  data.shots_per_variant = shots_for.empty() ? 0 : shots_for.back();
+  for (std::size_t v = 0; v < work.size(); ++v) {
+    data.fragments[static_cast<std::size_t>(work[v].first)].variants.emplace(
+        cutting::pack_variant_key(work[v].second), std::move(results[v]));
+    data.total_shots += shots_for[v];
+  }
+  data.total_jobs = work.size();
+  return data;
+}
+
+/// Best-of-`repeats` wall seconds for one execution path (batched
+/// execute_chain or execute_per_variant). `last_data_out` receives the data
+/// of the final repeat (fixed seeds, so the two paths' final repeats are
+/// comparable bit for bit).
 double time_execution(const ChainFixture& fixture, backend::Backend& backend,
                       bool prefix_batching, int repeats,
                       cutting::ChainFragmentData& last_data_out) {
@@ -104,11 +143,11 @@ double time_execution(const ChainFixture& fixture, backend::Backend& backend,
   for (int r = 0; r < repeats; ++r) {
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = 128;
-    exec.prefix_batching = prefix_batching;
     exec.seed_stream_base = static_cast<std::uint64_t>(r) << 40;
     Stopwatch watch;
     cutting::ChainFragmentData data =
-        cutting::execute_chain(fixture.graph, spec, backend, exec);
+        prefix_batching ? cutting::execute_chain(fixture.graph, spec, backend, exec)
+                        : execute_per_variant(fixture.graph, spec, backend, exec);
     const double seconds = watch.elapsed_seconds();
     if (r + 1 == repeats) last_data_out = std::move(data);
     if (r == 0 || seconds < best) best = seconds;

@@ -24,6 +24,7 @@ int main() {
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
   const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
 
   backend::StatevectorBackend backend(99);
 
@@ -31,12 +32,13 @@ int main() {
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = shots;
     exec.seed_stream_base = shots;  // fresh data per row
-    const cutting::FragmentData data =
-        cutting::execute_upstream_only(bp, cutting::NeglectSpec::none(1), backend, exec);
+    const cutting::ChainFragmentData data =
+        cutting::execute_chain(graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
 
+    // The upstream fragment's 3 setting variants, in setting order.
     std::vector<std::vector<double>> upstream;
     for (std::uint32_t s = 0; s < 3; ++s) {
-      upstream.push_back(data.upstream_distribution(s));
+      upstream.push_back(data.distribution(0, cutting::FragmentVariantKey{0, s}));
     }
     const cutting::GoldenDetectionReport report =
         cutting::detect_golden_from_counts(bp, upstream, shots);

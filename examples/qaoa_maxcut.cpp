@@ -71,8 +71,9 @@ int main() {
       // Exact fragment data once; each edge observable reuses it.
       cutting::ExecutionOptions exec;
       exec.exact = true;
-      const cutting::FragmentData data =
-          cutting::execute_fragments(bp, cutting::NeglectSpec::none(1), backend, exec);
+      const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz, cuts);
+      const cutting::ChainFragmentData data = cutting::execute_chain(
+          graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
 
       sim::StateVector sv(kNumQubits);
       sv.apply_circuit(ansatz);
@@ -88,7 +89,8 @@ int main() {
         // Observable-specific golden bases for this edge (if any).
         const cutting::NeglectSpec spec =
             cutting::detect_golden_for_observable(bp, obs).to_spec();
-        zz_cut.push_back(cutting::estimate_expectation(bp, data, spec, obs));
+        zz_cut.push_back(cutting::reconstruct_diagonal_expectation(
+            graph, data, cutting::ChainNeglectSpec({spec}), obs.diagonal()));
         zz_exact.push_back(sv.expectation_pauli(edge));
       }
 

@@ -1,10 +1,10 @@
 #pragma once
-// The legacy two-fragment split (Section II-B of the paper): an upstream
-// fragment f1 and a downstream fragment f2. The general machinery lives in
-// cutting/fragment_graph.hpp — an N-fragment chain with per-boundary
-// NeglectSpecs — and make_bipartition is a thin wrapper over the N=2 chain.
-// The Bipartition view is kept for the per-boundary detectors (golden.hpp,
-// observables.hpp) and the direct execution path (fragment_executor.hpp).
+// The two-fragment split (Section II-B of the paper): an upstream fragment
+// f1 and a downstream fragment f2. Execution, reconstruction and bootstrap
+// all run on cutting/fragment_graph.hpp — an N-fragment chain with
+// per-boundary NeglectSpecs — and make_bipartition is a thin wrapper over
+// the N=2 chain. The Bipartition view is only the shape the per-boundary
+// golden detectors (golden.hpp, observables.hpp) and the planner take.
 
 #include <span>
 #include <vector>

@@ -1,9 +1,7 @@
 #pragma once
-// Fragment execution: running every required variant of every fragment on a
-// backend, in parallel, and collecting the outcome distributions. The chain
-// entry points (execute_chain / ChainFragmentData) serve N fragments; the
-// Bipartition entry points are the historical N=2 path and remain the
-// reference the chain must match bit for bit at N=2.
+// Fragment execution: running every required variant of every fragment of
+// a chain on a backend, in parallel, and collecting the outcome
+// distributions. A single cut (N=2) is the one-boundary chain.
 
 #include <cstdint>
 #include <unordered_map>
@@ -18,9 +16,8 @@ namespace qcut::cutting {
 /// Seed-stream layout shared by every execution path (direct and service):
 /// fragment f draws from the block base + f * kDownstreamSeedStreamOffset,
 /// at sub-index prep_index * 3^Kout + setting_index. For the N=2 chain this
-/// is the historical layout exactly: upstream variants at
-/// base + setting_index, downstream variants at
-/// base + kDownstreamSeedStreamOffset + prep_index. The offset keeps the
+/// puts upstream variants at base + setting_index and downstream variants
+/// at base + kDownstreamSeedStreamOffset + prep_index. The offset keeps the
 /// blocks disjoint for any realistic per-boundary cut count.
 inline constexpr std::uint64_t kDownstreamSeedStreamOffset = 1u << 20;
 
@@ -53,43 +50,6 @@ struct ExecutionOptions {
 
   /// Base of the deterministic seed-stream block used for this execution.
   std::uint64_t seed_stream_base = 0;
-
-  /// Group variant circuits by longest common prefix and execute each group
-  /// through Backend::run_batch, so backends with a native batch path (the
-  /// statevector simulator) simulate each shared body once — one full
-  /// simulation per prep tuple instead of per variant — and fork cheap
-  /// suffixes for the 3^Kout trailing-rotation variants. Results are
-  /// bit-for-bit identical either way (the run_batch determinism contract);
-  /// disable only to time or test the per-variant reference path.
-  bool prefix_batching = true;
-
-  /// Allow the backend's specialized gate-kernel engine on batched
-  /// executions (BatchRequest::sim_engine). Bit-for-bit neutral — the
-  /// engine's specialized kernels and threading match the generic path
-  /// exactly — so this is a timing/testing knob only; result-affecting
-  /// engine state (gate fusion) is backend-construction state.
-  bool sim_engine = true;
-};
-
-/// The measured fragment data the Reconstructor consumes.
-struct FragmentData {
-  int num_cuts = 0;
-  int f1_width = 0;
-  int f2_width = 0;
-
-  /// setting tuple code -> outcome distribution over 2^f1_width.
-  std::unordered_map<std::uint32_t, std::vector<double>> upstream;
-
-  /// prep tuple code -> outcome distribution over 2^f2_width.
-  std::unordered_map<std::uint32_t, std::vector<double>> downstream;
-
-  std::size_t shots_per_variant = 0;  // 0 in exact mode; smallest count under a budget
-  std::uint64_t total_jobs = 0;
-  std::uint64_t total_shots = 0;
-  double wall_seconds = 0.0;          // wall time spent gathering the data
-
-  [[nodiscard]] const std::vector<double>& upstream_distribution(std::uint32_t setting) const;
-  [[nodiscard]] const std::vector<double>& downstream_distribution(std::uint32_t prep) const;
 };
 
 /// Per-variant shot plan shared by every execution path: a fixed per-variant
@@ -130,51 +90,29 @@ struct ChainFragmentData {
 /// Runs every variant required by the per-boundary specs on `backend` and
 /// collects the distributions. Variants are enumerated fragment by fragment
 /// (fragment 0 first, keys ascending), the shot plan is split across that
-/// order, and seed streams are assigned per variant — so an N=2 chain is
-/// bit-for-bit identical to execute_fragments at equal seeds.
+/// order, and seed streams are assigned per variant, so results do not
+/// depend on scheduling. All variants go to the backend in one
+/// Backend::run_batch call grouped by shared prefix: backends with a native
+/// batch path (the statevector simulator) simulate each shared body once —
+/// one full simulation per prep tuple instead of per variant — and fork
+/// cheap suffixes for the 3^Kout trailing-rotation variants. By the
+/// run_batch determinism contract the results are bit-for-bit those of
+/// running each variant on its own.
 [[nodiscard]] ChainFragmentData execute_chain(const FragmentGraph& graph,
                                               const ChainNeglectSpec& spec,
                                               backend::Backend& backend,
                                               const ExecutionOptions& options = {});
 
-/// Runs every variant required by `spec` on `backend` and collects the
-/// distributions. Variants are independent and are fanned out over the
-/// thread pool; seed streams are assigned per variant so results do not
-/// depend on scheduling.
-[[nodiscard]] FragmentData execute_fragments(const Bipartition& bp, const NeglectSpec& spec,
-                                             backend::Backend& backend,
-                                             const ExecutionOptions& options = {});
-
-/// Upstream half only (all settings required by `spec`). Used by the
-/// online-detection pipeline, which must see the upstream data before it
-/// can decide which downstream preparations to skip.
-[[nodiscard]] FragmentData execute_upstream_only(const Bipartition& bp, const NeglectSpec& spec,
-                                                 backend::Backend& backend,
-                                                 const ExecutionOptions& options = {});
-
-/// Downstream half only (all preparations required by `spec`).
-[[nodiscard]] FragmentData execute_downstream_only(const Bipartition& bp,
-                                                   const NeglectSpec& spec,
-                                                   backend::Backend& backend,
-                                                   const ExecutionOptions& options = {});
-
 // ---- Bring-your-own-counts ingestion ----
 //
 // For running fragment variants on external stacks (e.g. exporting the
-// variant circuits with to_qasm and executing on real hardware), build the
-// FragmentData by hand from the returned counts.
+// make_fragment_variant circuits with to_qasm and executing on real
+// hardware), fill a make_chain_data(graph) by hand from the returned
+// counts. Set shots_per_variant first to have every ingested histogram's
+// shot total checked against it (0 leaves the total unchecked).
 
-/// Empty FragmentData shaped for `bp`, expecting `shots_per_variant` shots
-/// per ingested variant.
-[[nodiscard]] FragmentData make_fragment_data(const Bipartition& bp,
-                                              std::size_t shots_per_variant);
-
-/// Records the counts of the upstream variant with setting tuple `setting`.
-void ingest_upstream_counts(FragmentData& data, std::uint32_t setting,
-                            const backend::Counts& counts);
-
-/// Records the counts of the downstream variant with prep tuple `prep`.
-void ingest_downstream_counts(FragmentData& data, std::uint32_t prep,
-                              const backend::Counts& counts);
+/// Records the counts of variant `key` of fragment `fragment`.
+void ingest_counts(ChainFragmentData& data, int fragment, FragmentVariantKey key,
+                   const backend::Counts& counts);
 
 }  // namespace qcut::cutting

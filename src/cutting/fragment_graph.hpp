@@ -91,8 +91,8 @@ struct FragmentGraph {
 [[nodiscard]] FragmentGraph make_fragment_graph(const Circuit& circuit,
                                                 std::span<const circuit::WirePoint> cuts);
 
-/// Legacy two-fragment view of an N=2 graph (throws otherwise). Kept for
-/// the per-bipartition detectors and the direct execution path.
+/// Two-fragment view of an N=2 graph (throws otherwise): the shape the
+/// per-boundary golden detectors and the planner take.
 [[nodiscard]] Bipartition to_bipartition(const FragmentGraph& graph);
 
 /// One NeglectSpec per boundary.

@@ -77,12 +77,6 @@ class DiagonalObservable {
 [[nodiscard]] std::optional<GoldenDetectionReport> try_detect_golden_for_observable(
     const Bipartition& bp, const DiagonalObservable& observable, double tol = 1e-9);
 
-/// Expectation of a diagonal observable from fragment data under a spec
-/// (thin wrapper over reconstruct_diagonal_expectation).
-[[nodiscard]] double estimate_expectation(const Bipartition& bp, const FragmentData& data,
-                                          const NeglectSpec& spec,
-                                          const DiagonalObservable& observable);
-
 /// A general (non-diagonal) Pauli observable reduced to the diagonal case:
 /// the circuit is extended with the standard basis rotations (X -> H,
 /// Y -> Sdg H) so that measuring the rotated circuit in the computational

@@ -15,26 +15,12 @@ namespace {
 
 /// One multinomial resample of every variant distribution in `data`.
 ///
-/// Variants are visited in ascending key order so the RNG consumption
-/// sequence — and with it every bootstrap replica — is a pure function of
-/// (data, seed), not of unordered_map iteration order, which differs across
-/// standard library implementations and rehash histories.
-FragmentData resample(const FragmentData& data, Rng& rng) {
-  FragmentData replica = data;
-  const std::size_t shots = data.shots_per_variant;
-  for (std::uint32_t index : sorted_keys(replica.upstream)) {
-    std::vector<double>& probs = replica.upstream.at(index);
-    const auto histogram = sim::sample_histogram(probs, shots, rng);
-    probs = sim::histogram_to_probabilities(histogram);
-  }
-  for (std::uint32_t index : sorted_keys(replica.downstream)) {
-    std::vector<double>& probs = replica.downstream.at(index);
-    const auto histogram = sim::sample_histogram(probs, shots, rng);
-    probs = sim::histogram_to_probabilities(histogram);
-  }
-  return replica;
-}
-
+/// Variants are visited fragment by fragment in ascending packed-key order
+/// so the RNG consumption sequence — and with it every bootstrap replica —
+/// is a pure function of (data, seed), not of unordered_map iteration
+/// order, which differs across standard library implementations and rehash
+/// histories. At N=2 the order is upstream settings ascending, then
+/// downstream preps ascending.
 ChainFragmentData resample(const ChainFragmentData& data, Rng& rng) {
   ChainFragmentData replica = data;
   const std::size_t shots = data.shots_per_variant;
@@ -53,99 +39,16 @@ void check_sampled(const ChainFragmentData& data) {
              "bootstrap: fragment data must be sampled (exact data has no shot noise)");
 }
 
-void check_sampled(const FragmentData& data) {
-  QCUT_CHECK(data.shots_per_variant > 0,
-             "bootstrap: fragment data must be sampled (exact data has no shot noise)");
+/// Linearly interpolated quantile of ascending-sorted `values`.
+double pick_quantile(const std::vector<double>& values, double quantile) {
+  const double pos = quantile * static_cast<double>(values.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
 }  // namespace
-
-DistributionUncertainty bootstrap_distribution(const Bipartition& bp, const FragmentData& data,
-                                               const NeglectSpec& spec,
-                                               const BootstrapOptions& options) {
-  check_sampled(data);
-  QCUT_CHECK(options.replicas >= 2, "bootstrap: need at least 2 replicas");
-  QCUT_CHECK(options.confidence > 0.0 && options.confidence < 1.0,
-             "bootstrap: confidence must be in (0, 1)");
-
-  Rng rng(options.seed);
-  ReconstructionOptions recon;
-  recon.pool = options.pool;
-
-  const index_t dim = pow2(bp.num_original_qubits);
-  std::vector<std::vector<double>> replicas;
-  replicas.reserve(options.replicas);
-  for (std::size_t r = 0; r < options.replicas; ++r) {
-    Rng replica_rng = rng.child(r);
-    const FragmentData resampled = resample(data, replica_rng);
-    replicas.push_back(
-        reconstruct_distribution(bp, resampled, spec, recon).raw_probabilities);
-  }
-
-  DistributionUncertainty out;
-  out.mean.assign(dim, 0.0);
-  out.standard_error.assign(dim, 0.0);
-  out.ci_lower.assign(dim, 0.0);
-  out.ci_upper.assign(dim, 0.0);
-
-  const double alpha = (1.0 - options.confidence) / 2.0;
-  std::vector<double> values(options.replicas);
-  for (index_t x = 0; x < dim; ++x) {
-    metrics::RunningStats stats;
-    for (std::size_t r = 0; r < options.replicas; ++r) {
-      values[r] = replicas[r][x];
-      stats.add(values[r]);
-    }
-    out.mean[x] = stats.mean();
-    out.standard_error[x] = stats.stddev();
-    std::sort(values.begin(), values.end());
-    const auto pick = [&](double quantile) {
-      const double pos = quantile * static_cast<double>(values.size() - 1);
-      const std::size_t lo = static_cast<std::size_t>(pos);
-      const std::size_t hi = std::min(lo + 1, values.size() - 1);
-      const double frac = pos - static_cast<double>(lo);
-      return values[lo] * (1.0 - frac) + values[hi] * frac;
-    };
-    out.ci_lower[x] = pick(alpha);
-    out.ci_upper[x] = pick(1.0 - alpha);
-  }
-  return out;
-}
-
-ExpectationUncertainty bootstrap_expectation(const Bipartition& bp, const FragmentData& data,
-                                             const NeglectSpec& spec,
-                                             const DiagonalObservable& observable,
-                                             const BootstrapOptions& options) {
-  check_sampled(data);
-  QCUT_CHECK(options.replicas >= 2, "bootstrap: need at least 2 replicas");
-
-  Rng rng(options.seed);
-  std::vector<double> values;
-  values.reserve(options.replicas);
-  for (std::size_t r = 0; r < options.replicas; ++r) {
-    Rng replica_rng = rng.child(r);
-    const FragmentData resampled = resample(data, replica_rng);
-    values.push_back(estimate_expectation(bp, resampled, spec, observable));
-  }
-
-  ExpectationUncertainty out;
-  out.estimate = estimate_expectation(bp, data, spec, observable);
-  const metrics::Summary summary = metrics::summarize(values);
-  out.standard_error = summary.stddev;
-
-  std::sort(values.begin(), values.end());
-  const double alpha = (1.0 - options.confidence) / 2.0;
-  const auto pick = [&](double quantile) {
-    const double pos = quantile * static_cast<double>(values.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return values[lo] * (1.0 - frac) + values[hi] * frac;
-  };
-  out.ci_lower = pick(alpha);
-  out.ci_upper = pick(1.0 - alpha);
-  return out;
-}
 
 DistributionUncertainty bootstrap_distribution(const FragmentGraph& graph,
                                                const ChainFragmentData& data,
@@ -187,15 +90,8 @@ DistributionUncertainty bootstrap_distribution(const FragmentGraph& graph,
     out.mean[x] = stats.mean();
     out.standard_error[x] = stats.stddev();
     std::sort(values.begin(), values.end());
-    const auto pick = [&](double quantile) {
-      const double pos = quantile * static_cast<double>(values.size() - 1);
-      const std::size_t lo = static_cast<std::size_t>(pos);
-      const std::size_t hi = std::min(lo + 1, values.size() - 1);
-      const double frac = pos - static_cast<double>(lo);
-      return values[lo] * (1.0 - frac) + values[hi] * frac;
-    };
-    out.ci_lower[x] = pick(alpha);
-    out.ci_upper[x] = pick(1.0 - alpha);
+    out.ci_lower[x] = pick_quantile(values, alpha);
+    out.ci_upper[x] = pick_quantile(values, 1.0 - alpha);
   }
   return out;
 }
@@ -225,15 +121,8 @@ ExpectationUncertainty bootstrap_expectation(const FragmentGraph& graph,
 
   std::sort(values.begin(), values.end());
   const double alpha = (1.0 - options.confidence) / 2.0;
-  const auto pick = [&](double quantile) {
-    const double pos = quantile * static_cast<double>(values.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return values[lo] * (1.0 - frac) + values[hi] * frac;
-  };
-  out.ci_lower = pick(alpha);
-  out.ci_upper = pick(1.0 - alpha);
+  out.ci_lower = pick_quantile(values, alpha);
+  out.ci_upper = pick_quantile(values, 1.0 - alpha);
   return out;
 }
 

@@ -30,10 +30,12 @@ struct DistributionUncertainty {
   std::vector<double> ci_upper;
 };
 
-/// Bootstraps the reconstructed distribution. `data` must be sampled
-/// (shots_per_variant > 0); exact data has no sampling error.
+/// Bootstraps the reconstructed distribution. Every variant of every
+/// fragment is resampled, fragment by fragment in ascending packed-key
+/// order. `data` must be sampled (shots_per_variant > 0); exact data has no
+/// sampling error.
 [[nodiscard]] DistributionUncertainty bootstrap_distribution(
-    const Bipartition& bp, const FragmentData& data, const NeglectSpec& spec,
+    const FragmentGraph& graph, const ChainFragmentData& data, const ChainNeglectSpec& spec,
     const BootstrapOptions& options = {});
 
 /// Uncertainty of one diagonal-observable expectation.
@@ -43,16 +45,6 @@ struct ExpectationUncertainty {
   double ci_lower = 0.0;
   double ci_upper = 0.0;
 };
-
-[[nodiscard]] ExpectationUncertainty bootstrap_expectation(
-    const Bipartition& bp, const FragmentData& data, const NeglectSpec& spec,
-    const DiagonalObservable& observable, const BootstrapOptions& options = {});
-
-/// Chain bootstrap: every variant of every fragment is resampled, fragment
-/// by fragment in ascending packed-key order.
-[[nodiscard]] DistributionUncertainty bootstrap_distribution(
-    const FragmentGraph& graph, const ChainFragmentData& data, const ChainNeglectSpec& spec,
-    const BootstrapOptions& options = {});
 
 [[nodiscard]] ExpectationUncertainty bootstrap_expectation(
     const FragmentGraph& graph, const ChainFragmentData& data, const ChainNeglectSpec& spec,

@@ -114,7 +114,7 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
       for (std::size_t i = lo; i < hi; ++i) fn(i);
     }));
   }
-  for (auto& f : futures) f.get();
+  detail::drain_futures(futures, [] {});
 }
 
 }  // namespace qcut::parallel

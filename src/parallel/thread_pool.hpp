@@ -9,6 +9,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -81,9 +82,35 @@ class ThreadPool {
 /// on a worker: a nested parallel wait can deadlock a saturated pool.
 [[nodiscard]] bool in_pool_worker() noexcept;
 
+namespace detail {
+
+/// Waits for every future, passing each value to `on_value`, then rethrows
+/// the first exception any of them stored. Rethrowing before all tasks are
+/// done would leave the remaining ones running against the caller's
+/// destroyed stack frame.
+template <typename T, typename OnValue>
+void drain_futures(std::vector<std::future<T>>& futures, OnValue&& on_value) {
+  std::exception_ptr first_error;
+  for (auto& future : futures) {
+    try {
+      if constexpr (std::is_void_v<T>) {
+        future.get();
+      } else {
+        on_value(future.get());
+      }
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
+
+}  // namespace detail
+
 /// Runs fn(i) for i in [begin, end), distributing chunks over the pool.
 /// Runs inline when the range is small or the pool has a single worker.
-/// The first exception thrown by any invocation is rethrown.
+/// Every invocation finishes before the call returns; the first exception
+/// thrown by any of them is then rethrown.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn, std::size_t grain = 1);
 
@@ -114,7 +141,7 @@ template <typename T, typename Map, typename Combine>
     }));
   }
   T acc = identity;
-  for (auto& f : futures) acc = combine(std::move(acc), f.get());
+  detail::drain_futures(futures, [&](T value) { acc = combine(std::move(acc), std::move(value)); });
   return acc;
 }
 

@@ -3,7 +3,7 @@
 // identical to per-variant run on both the native statevector path and the
 // serial fallback), batch-vs-serial equality through execute_chain and the
 // CutService under every GoldenMode, and the DetectOnline budget
-// amortization for N > 2 chains.
+// amortization across fragment waves.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "cutting/variants.hpp"
 #include "noise/standard_channels.hpp"
 #include "service/cut_service.hpp"
+#include "support/chain_reference.hpp"
 
 namespace qcut::cutting {
 namespace {
@@ -238,10 +239,8 @@ TEST(BatchedExecution, ExecuteChainBatchedEqualsPerVariantEverywhere) {
       backend::Backend& batched_backend =
           noisy ? static_cast<backend::Backend&>(noisy_batched) : sv_batched;
 
-      ExecutionOptions serial_exec = tc.exec;
-      serial_exec.prefix_batching = false;
-      const ChainFragmentData expected = execute_chain(graph, *tc.spec, serial_backend,
-                                                       serial_exec);
+      const ChainFragmentData expected =
+          execute_chain_per_variant(graph, *tc.spec, serial_backend, tc.exec);
       const ChainFragmentData actual = execute_chain(graph, *tc.spec, batched_backend,
                                                      tc.exec);
 
@@ -265,50 +264,6 @@ TEST(BatchedExecution, ExecuteChainBatchedEqualsPerVariantEverywhere) {
                 reconstruct_distribution(graph, expected, *tc.spec).raw_probabilities);
     }
   }
-}
-
-/// The historical bipartition executors honor prefix_batching too: the
-/// upstream-only half (every setting shares the entire f1 body) is the
-/// best case for sharing and must stay bit-for-bit.
-TEST(BatchedExecution, BipartitionExecutorsBatchedEqualPerVariant) {
-  Rng rng(43);
-  circuit::GoldenAnsatzOptions options;
-  options.num_qubits = 5;
-  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
-  const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
-  const NeglectSpec spec = NeglectSpec::none(1);
-
-  ExecutionOptions serial_exec;
-  serial_exec.shots_per_variant = 1300;
-  serial_exec.prefix_batching = false;
-  ExecutionOptions batched_exec = serial_exec;
-  batched_exec.prefix_batching = true;
-
-  const auto expect_equal = [](const FragmentData& a, const FragmentData& b) {
-    EXPECT_EQ(a.total_jobs, b.total_jobs);
-    EXPECT_EQ(a.total_shots, b.total_shots);
-    ASSERT_EQ(a.upstream.size(), b.upstream.size());
-    ASSERT_EQ(a.downstream.size(), b.downstream.size());
-    for (const auto& [setting, dist] : a.upstream) {
-      EXPECT_EQ(b.upstream_distribution(setting), dist);
-    }
-    for (const auto& [prep, dist] : a.downstream) {
-      EXPECT_EQ(b.downstream_distribution(prep), dist);
-    }
-  };
-
-  backend::StatevectorBackend serial_full(3), batched_full(3);
-  expect_equal(execute_fragments(bp, spec, serial_full, serial_exec),
-               execute_fragments(bp, spec, batched_full, batched_exec));
-
-  backend::StatevectorBackend serial_up(3), batched_up(3);
-  expect_equal(execute_upstream_only(bp, spec, serial_up, serial_exec),
-               execute_upstream_only(bp, spec, batched_up, batched_exec));
-
-  backend::StatevectorBackend serial_down(3), batched_down(3);
-  expect_equal(execute_downstream_only(bp, spec, serial_down, serial_exec),
-               execute_downstream_only(bp, spec, batched_down, batched_exec));
 }
 
 /// The service with prefix batching on vs off, across every GoldenMode x
@@ -411,7 +366,7 @@ TEST(OnlineBudget, AmortizedAcrossWavesForThreeFragmentChain) {
   EXPECT_EQ(response.backend_delta.shots, response.data.total_shots);
 }
 
-TEST(OnlineBudget, TwoFragmentChainKeepsHistoricalPerWaveSplit) {
+TEST(OnlineBudget, AmortizedAcrossWavesForTwoFragmentChain) {
   Rng rng(31);
   circuit::GoldenAnsatzOptions options;
   options.num_qubits = 5;
@@ -424,9 +379,11 @@ TEST(OnlineBudget, TwoFragmentChainKeepsHistoricalPerWaveSplit) {
   request.with_cut(ansatz.cut).with_golden(GoldenMode::DetectOnline).with_shot_budget(9000);
   request.options.shots_per_variant = 0;
 
-  // Historical N=2 behavior: each of the two waves splits the full budget.
+  // A single cut is a two-wave chain: one budget across both waves.
   const CutResponse response = service.run(request);
-  EXPECT_EQ(response.data.total_shots, 18000u);
+  EXPECT_LE(response.data.total_shots, 9000u);
+  EXPECT_GE(response.data.total_shots, 9000u / 2);  // most of the budget is spent
+  EXPECT_EQ(response.backend_delta.shots, response.data.total_shots);
 }
 
 TEST(OnlineBudget, TooSmallForWavesIsRejectedWithSpecificError) {

@@ -2,7 +2,8 @@
 // constraint rules out every single-cut bipartition, plan_chain_cuts must
 // find a multi-boundary chain whose fragments all fit, and the CutRequest /
 // CutService stack must execute it end to end — with per-boundary golden
-// neglection shrinking the variant count versus the no-neglect chain.
+// neglection shrinking the variant count versus the no-neglect chain, and
+// bootstrap uncertainty on observable targets.
 
 #include <gtest/gtest.h>
 
@@ -199,14 +200,63 @@ TEST(ChainRequest, ValidationCatchesChainSpecificMistakes) {
     request.with_boundaries({{WirePoint{2, 3}}, {}});
     EXPECT_THROW(validate(request), Error);
   }
-  // Bootstrap on a multi-boundary chain is deferred.
+  // Bootstrap on a multi-boundary chain is accepted.
   {
     CutRequest request(c);
     request.with_boundaries(boundaries)
         .with_observable(DiagonalObservable::parity(7))
         .with_uncertainty();
-    EXPECT_THROW(validate(request), Error);
+    EXPECT_NO_THROW(validate(request));
   }
+}
+
+/// Runs an observable request with bootstrap uncertainty on a 3-fragment
+/// chain: the response's uncertainty must be exactly the bootstrap of its
+/// own data, and its interval must cover the exact expectation.
+void expect_chain_bootstrap(const CutRequest& request, const DiagonalObservable& obs) {
+  backend::StatevectorBackend backend(21);
+  const CutResponse response = run(request, backend);
+  ASSERT_EQ(response.graph.num_fragments(), 3);
+  ASSERT_TRUE(response.expectation.has_value());
+  ASSERT_TRUE(response.uncertainty.has_value());
+
+  const ExpectationUncertainty direct = bootstrap_expectation(
+      response.graph, response.data, response.specs, obs, *request.bootstrap);
+  EXPECT_EQ(response.uncertainty->estimate, direct.estimate);
+  EXPECT_EQ(response.uncertainty->standard_error, direct.standard_error);
+  EXPECT_EQ(response.uncertainty->ci_lower, direct.ci_lower);
+  EXPECT_EQ(response.uncertainty->ci_upper, direct.ci_upper);
+  EXPECT_EQ(response.uncertainty->estimate, *response.expectation);
+  EXPECT_GT(response.uncertainty->standard_error, 0.0);
+
+  const double exact = obs.expectation(truth_of(request.circuit));
+  EXPECT_LE(response.uncertainty->ci_lower, exact);
+  EXPECT_GE(response.uncertainty->ci_upper, exact);
+}
+
+TEST(ChainBootstrap, ExplicitBoundariesCarryUncertainty) {
+  const Circuit c = three_block_chain();
+  const DiagonalObservable obs = DiagonalObservable::parity(7);
+  CutRequest request(c);
+  request.with_boundaries({{WirePoint{2, 3}}, {WirePoint{4, 6}}})
+      .with_observable(obs)
+      .with_shots(4000)
+      .with_uncertainty();
+  expect_chain_bootstrap(request, obs);
+}
+
+TEST(ChainBootstrap, AutoChainPlanCarriesUncertainty) {
+  const Circuit c = three_block_chain();
+  const DiagonalObservable obs = DiagonalObservable::parity(7);
+  ChainPlannerOptions planner;
+  planner.max_fragment_width = 3;
+  CutRequest request(c);
+  request.with_chain_plan(planner)
+      .with_golden(GoldenMode::DetectExact)
+      .with_observable(obs)
+      .with_shots(4000)
+      .with_uncertainty();
+  expect_chain_bootstrap(request, obs);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Chain cutting end to end: exact 3-fragment reconstruction against the
 // statevector ground truth, per-boundary golden neglection, agreement of the
-// single-outcome and diagonal-expectation paths with the full distribution,
-// and bit-for-bit N=2 equivalence with the pre-chain Bipartition pipeline.
+// single-outcome and diagonal-expectation paths with the full distribution.
 
 #include <gtest/gtest.h>
 
@@ -124,108 +123,6 @@ TEST(ChainCutting, ProbabilityOfAndDiagonalExpectationAgreeWithDistribution) {
     folded += diagonal[x] * full.raw_probabilities[x];
   }
   EXPECT_NEAR(reconstruct_diagonal_expectation(graph, data, spec, diagonal), folded, 1e-12);
-}
-
-/// The N=2 chain must reproduce the historical Bipartition pipeline bit for
-/// bit at equal seeds: same variant circuits, same seed streams, same shot
-/// plan, same contraction arithmetic.
-TEST(ChainCutting, TwoFragmentChainIsBitForBitEqualToBipartitionPath) {
-  Rng rng(17);
-  circuit::GoldenAnsatzOptions options;
-  options.num_qubits = 5;
-  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
-  const std::array<WirePoint, 1> cuts = {ansatz.cut};
-
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
-
-  NeglectSpec golden(1);
-  golden.neglect(0, ansatz.golden_basis);
-
-  struct Case {
-    const char* name;
-    NeglectSpec spec;
-    ExecutionOptions exec;
-  };
-  std::vector<Case> cases;
-  {
-    Case sampled{"sampled", NeglectSpec::none(1), {}};
-    sampled.exec.shots_per_variant = 1500;
-    cases.push_back(sampled);
-
-    Case budget{"budget", NeglectSpec::none(1), {}};
-    budget.exec.shots_per_variant = 0;
-    budget.exec.total_shot_budget = 5000;
-    cases.push_back(budget);
-
-    Case golden_case{"golden", golden, {}};
-    golden_case.exec.shots_per_variant = 1500;
-    golden_case.exec.seed_stream_base = 1u << 24;
-    cases.push_back(golden_case);
-
-    Case exact{"exact", NeglectSpec::none(1), {}};
-    exact.exec.exact = true;
-    cases.push_back(exact);
-  }
-
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-
-    backend::StatevectorBackend direct_backend(9);
-    const FragmentData direct = execute_fragments(bp, c.spec, direct_backend, c.exec);
-    const ReconstructionResult expected = reconstruct_distribution(bp, direct, c.spec);
-
-    backend::StatevectorBackend chain_backend(9);
-    const ChainNeglectSpec chain_spec{{c.spec}};
-    const ChainFragmentData data = execute_chain(graph, chain_spec, chain_backend, c.exec);
-    const ReconstructionResult actual = reconstruct_distribution(graph, data, chain_spec);
-
-    EXPECT_EQ(actual.raw_probabilities, expected.raw_probabilities);
-    EXPECT_EQ(actual.terms, expected.terms);
-    EXPECT_EQ(data.total_jobs, direct.total_jobs);
-    EXPECT_EQ(data.total_shots, direct.total_shots);
-    EXPECT_EQ(data.shots_per_variant, direct.shots_per_variant);
-
-    // The per-variant distributions themselves coincide: same circuits and
-    // the historical seed-stream layout.
-    for (const auto& [setting, dist] : direct.upstream) {
-      EXPECT_EQ(data.distribution(0, FragmentVariantKey{0, setting}), dist);
-    }
-    for (const auto& [prep, dist] : direct.downstream) {
-      EXPECT_EQ(data.distribution(1, FragmentVariantKey{prep, 0}), dist);
-    }
-  }
-}
-
-TEST(ChainCutting, VariantCircuitsMatchLegacyVariants) {
-  Rng rng(23);
-  circuit::GoldenAnsatzOptions options;
-  options.num_qubits = 5;
-  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
-  const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
-
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    const Circuit legacy = make_upstream_variant(bp, s).circuit;
-    const Circuit chain = make_fragment_variant(graph, 0, FragmentVariantKey{0, s}).circuit;
-    ASSERT_EQ(chain.num_ops(), legacy.num_ops());
-    for (std::size_t i = 0; i < legacy.num_ops(); ++i) {
-      EXPECT_EQ(chain.op(i).kind, legacy.op(i).kind);
-      EXPECT_EQ(chain.op(i).qubits, legacy.op(i).qubits);
-      EXPECT_EQ(chain.op(i).params, legacy.op(i).params);
-    }
-  }
-  for (std::uint32_t p = 0; p < 6; ++p) {
-    const Circuit legacy = make_downstream_variant(bp, p).circuit;
-    const Circuit chain = make_fragment_variant(graph, 1, FragmentVariantKey{p, 0}).circuit;
-    ASSERT_EQ(chain.num_ops(), legacy.num_ops());
-    for (std::size_t i = 0; i < legacy.num_ops(); ++i) {
-      EXPECT_EQ(chain.op(i).kind, legacy.op(i).kind);
-      EXPECT_EQ(chain.op(i).qubits, legacy.op(i).qubits);
-      EXPECT_EQ(chain.op(i).params, legacy.op(i).params);
-    }
-  }
 }
 
 }  // namespace

@@ -16,6 +16,19 @@ namespace {
 
 using circuit::WirePoint;
 
+/// Fragment 0's distributions for all 3 settings of a single cut, in
+/// setting order (the detector's input), from an unpruned chain execution.
+std::vector<std::vector<double>> sampled_upstream_distributions(
+    const FragmentGraph& graph, backend::Backend& backend, const ExecutionOptions& exec) {
+  const ChainFragmentData data =
+      execute_chain(graph, ChainNeglectSpec::none(graph), backend, exec);
+  std::vector<std::vector<double>> upstream;
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    upstream.push_back(data.distribution(0, FragmentVariantKey{0, s}));
+  }
+  return upstream;
+}
+
 struct UpstreamSetup {
   Bipartition bp;
   std::vector<std::vector<double>> upstream;  // all 3^K settings, exact or sampled
@@ -28,11 +41,8 @@ UpstreamSetup sampled_upstream(const circuit::GoldenAnsatz& ansatz, std::size_t 
   backend::StatevectorBackend backend(seed);
   cutting::ExecutionOptions exec;
   exec.shots_per_variant = shots;
-  const FragmentData data =
-      execute_upstream_only(setup.bp, NeglectSpec::none(1), backend, exec);
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    setup.upstream.push_back(data.upstream_distribution(s));
-  }
+  setup.upstream = sampled_upstream_distributions(make_fragment_graph(ansatz.circuit, cuts),
+                                                  backend, exec);
   return setup;
 }
 
@@ -65,9 +75,8 @@ TEST(OnlineDetection, RejectsStronglyNonGoldenBasis) {
   backend::StatevectorBackend backend(3);
   cutting::ExecutionOptions exec;
   exec.shots_per_variant = 4000;
-  const FragmentData data = execute_upstream_only(bp, NeglectSpec::none(1), backend, exec);
-  std::vector<std::vector<double>> upstream;
-  for (std::uint32_t s = 0; s < 3; ++s) upstream.push_back(data.upstream_distribution(s));
+  const std::vector<std::vector<double>> upstream =
+      sampled_upstream_distributions(make_fragment_graph(c, cuts), backend, exec);
 
   const GoldenDetectionReport report = detect_golden_from_counts(bp, upstream, 4000);
   EXPECT_FALSE(report.golden[0][static_cast<std::size_t>(Pauli::Z)]);
@@ -94,9 +103,8 @@ TEST(OnlineDetection, FalsePositiveRateIsControlled) {
     backend::StatevectorBackend backend(seed * 11);
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = 4000;
-    const FragmentData data = execute_upstream_only(bp, NeglectSpec::none(1), backend, exec);
-    std::vector<std::vector<double>> upstream;
-    for (std::uint32_t s = 0; s < 3; ++s) upstream.push_back(data.upstream_distribution(s));
+    const std::vector<std::vector<double>> upstream =
+        sampled_upstream_distributions(make_fragment_graph(c, cuts), backend, exec);
 
     // The exact violations for this circuit are sizable on all three bases.
     const GoldenDetectionReport exact = detect_golden_exact(bp, 1e-9);

@@ -270,8 +270,7 @@ TEST(CutRequestRun, BootstrapUncertaintyIsAttachedOnRequest) {
   EXPECT_GT(response.uncertainty->standard_error, 0.0);
   EXPECT_LE(response.uncertainty->ci_lower, response.uncertainty->ci_upper);
 
-  // Transitional check: the service's N=2 bootstrap (through the
-  // Bipartition view) equals the chain port on the response's own data.
+  // The attached uncertainty is the bootstrap of the response's own data.
   const ExpectationUncertainty chain = bootstrap_expectation(
       response.graph, response.data, response.specs,
       DiagonalObservable::from_pauli(circuit::PauliString::parse("ZZZZZ")), boot);

@@ -5,7 +5,6 @@
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
 #include "common/error.hpp"
-#include "common/ordered.hpp"
 #include "cutting/pipeline.hpp"
 #include "sim/statevector.hpp"
 
@@ -14,9 +13,11 @@ namespace {
 
 struct Fixture {
   circuit::GoldenAnsatz ansatz;
-  Bipartition bp;
-  FragmentData data;
+  FragmentGraph graph;
+  ChainFragmentData data;
   std::vector<double> truth;
+
+  [[nodiscard]] ChainNeglectSpec none() const { return ChainNeglectSpec::none(graph); }
 
   static Fixture make(std::size_t shots, std::uint64_t seed) {
     Rng rng(seed);
@@ -24,16 +25,16 @@ struct Fixture {
     options.num_qubits = 5;
     circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
     const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-    Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+    FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
 
     backend::StatevectorBackend backend(seed * 7 + 1);
     ExecutionOptions exec;
     exec.shots_per_variant = shots;
-    FragmentData data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
+    ChainFragmentData data = execute_chain(graph, ChainNeglectSpec::none(graph), backend, exec);
 
     sim::StateVector sv(5);
     sv.apply_circuit(ansatz.circuit);
-    return Fixture{std::move(ansatz), std::move(bp), std::move(data), sv.probabilities()};
+    return Fixture{std::move(ansatz), std::move(graph), std::move(data), sv.probabilities()};
   }
 };
 
@@ -42,7 +43,7 @@ TEST(Bootstrap, DistributionBandsCoverTruth) {
   BootstrapOptions options;
   options.replicas = 150;
   const DistributionUncertainty u =
-      bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(fx.graph, fx.data, fx.none(), options);
 
   ASSERT_EQ(u.mean.size(), 32u);
   int covered = 0;
@@ -66,9 +67,9 @@ TEST(Bootstrap, StandardErrorShrinksWithShots) {
   options.replicas = 100;
 
   const DistributionUncertainty u_coarse =
-      bootstrap_distribution(coarse.bp, coarse.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(coarse.graph, coarse.data, coarse.none(), options);
   const DistributionUncertainty u_fine =
-      bootstrap_distribution(fine.bp, fine.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(fine.graph, fine.data, fine.none(), options);
 
   double coarse_total = 0.0, fine_total = 0.0;
   for (index_t x = 0; x < 32; ++x) {
@@ -92,7 +93,7 @@ TEST(Bootstrap, ExpectationCoversStatevectorValue) {
   BootstrapOptions options;
   options.replicas = 150;
   const ExpectationUncertainty u =
-      bootstrap_expectation(fx.bp, fx.data, NeglectSpec::none(1), obs, options);
+      bootstrap_expectation(fx.graph, fx.data, fx.none(), obs, options);
 
   EXPECT_NEAR(u.estimate, exact, 5.0 * u.standard_error + 0.05);
   EXPECT_LT(u.ci_lower, u.ci_upper);
@@ -110,24 +111,25 @@ TEST(Bootstrap, GoldenSpecGivesComparableErrorWithFewerVariants) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
 
-  NeglectSpec golden(1);
-  golden.neglect(0, ansatz.golden_basis);
+  NeglectSpec golden_boundary(1);
+  golden_boundary.neglect(0, ansatz.golden_basis);
+  const ChainNeglectSpec none = ChainNeglectSpec::none(graph);
+  const ChainNeglectSpec golden({golden_boundary});
 
   backend::StatevectorBackend backend(11);
   ExecutionOptions exec;
   exec.shots_per_variant = 4000;
-  const FragmentData full_data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
-  const FragmentData golden_data = execute_fragments(bp, golden, backend, exec);
+  const ChainFragmentData full_data = execute_chain(graph, none, backend, exec);
+  const ChainFragmentData golden_data = execute_chain(graph, golden, backend, exec);
 
   const DiagonalObservable obs = DiagonalObservable::parity(5);
   BootstrapOptions boot;
   boot.replicas = 100;
-  const ExpectationUncertainty u_full =
-      bootstrap_expectation(bp, full_data, NeglectSpec::none(1), obs, boot);
+  const ExpectationUncertainty u_full = bootstrap_expectation(graph, full_data, none, obs, boot);
   const ExpectationUncertainty u_golden =
-      bootstrap_expectation(bp, golden_data, golden, obs, boot);
+      bootstrap_expectation(graph, golden_data, golden, obs, boot);
 
   EXPECT_LT(u_golden.standard_error, 2.0 * u_full.standard_error + 1e-3);
 }
@@ -138,22 +140,23 @@ TEST(Bootstrap, RejectsExactData) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const ChainNeglectSpec none = ChainNeglectSpec::none(graph);
   backend::StatevectorBackend backend(2);
   ExecutionOptions exec;
   exec.exact = true;
-  const FragmentData data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
-  EXPECT_THROW((void)bootstrap_distribution(bp, data, NeglectSpec::none(1)), Error);
+  const ChainFragmentData data = execute_chain(graph, none, backend, exec);
+  EXPECT_THROW((void)bootstrap_distribution(graph, data, none), Error);
 }
 
 TEST(Bootstrap, OptionValidation) {
   const Fixture fx = Fixture::make(100, 6);
   BootstrapOptions bad;
   bad.replicas = 1;
-  EXPECT_THROW((void)bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), bad), Error);
+  EXPECT_THROW((void)bootstrap_distribution(fx.graph, fx.data, fx.none(), bad), Error);
   bad.replicas = 10;
   bad.confidence = 1.5;
-  EXPECT_THROW((void)bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), bad), Error);
+  EXPECT_THROW((void)bootstrap_distribution(fx.graph, fx.data, fx.none(), bad), Error);
 }
 
 TEST(Bootstrap, DeterministicForSeed) {
@@ -162,90 +165,11 @@ TEST(Bootstrap, DeterministicForSeed) {
   options.replicas = 20;
   options.seed = 99;
   const DistributionUncertainty a =
-      bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(fx.graph, fx.data, fx.none(), options);
   const DistributionUncertainty b =
-      bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(fx.graph, fx.data, fx.none(), options);
   EXPECT_EQ(a.mean, b.mean);
   EXPECT_EQ(a.ci_lower, b.ci_lower);
-}
-
-// Transitional check: the chain port must reproduce the Bipartition
-// bootstrap bit for bit on every fixture above.
-void expect_same(const DistributionUncertainty& a, const DistributionUncertainty& b) {
-  EXPECT_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.standard_error, b.standard_error);
-  EXPECT_EQ(a.ci_lower, b.ci_lower);
-  EXPECT_EQ(a.ci_upper, b.ci_upper);
-}
-void expect_same(const ExpectationUncertainty& a, const ExpectationUncertainty& b) {
-  EXPECT_EQ(a.estimate, b.estimate);
-  EXPECT_EQ(a.standard_error, b.standard_error);
-  EXPECT_EQ(a.ci_lower, b.ci_lower);
-  EXPECT_EQ(a.ci_upper, b.ci_upper);
-}
-ChainFragmentData to_chain(const FragmentData& data) {
-  ChainFragmentData out;
-  out.fragments.resize(2);
-  out.fragments[0].width = data.f1_width;
-  out.fragments[1].width = data.f2_width;
-  out.boundary_num_cuts = {data.num_cuts};
-  out.shots_per_variant = data.shots_per_variant;
-  for (std::uint32_t s : sorted_keys(data.upstream)) {
-    out.fragments[0].variants.emplace(pack_variant_key({0, s}), data.upstream.at(s));
-  }
-  for (std::uint32_t p : sorted_keys(data.downstream)) {
-    out.fragments[1].variants.emplace(pack_variant_key({p, 0}), data.downstream.at(p));
-  }
-  return out;
-}
-
-TEST(Bootstrap, ChainPortEqualsBipartitionPath) {
-  const std::array<std::pair<std::size_t, std::uint64_t>, 6> fixtures = {
-      {{4000, 1}, {500, 2}, {50000, 2}, {8000, 3}, {100, 6}, {1000, 7}}};
-  circuit::PauliString z_all(5);
-  for (int q = 0; q < 5; ++q) z_all.set_label(q, linalg::Pauli::Z);
-  const DiagonalObservable obs = DiagonalObservable::from_pauli(z_all);
-  for (const auto& [shots, seed] : fixtures) {
-    const Fixture fx = Fixture::make(shots, seed);
-    const std::array<circuit::WirePoint, 1> cuts = {fx.ansatz.cut};
-    const FragmentGraph graph = make_fragment_graph(fx.ansatz.circuit, cuts);
-    const ChainFragmentData chain = to_chain(fx.data);
-    const ChainNeglectSpec spec({NeglectSpec::none(1)});
-    for (std::uint64_t boot_seed : {1234ull, 99ull}) {
-      BootstrapOptions options;
-      options.replicas = 40;
-      options.seed = boot_seed;
-      expect_same(bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), options),
-                  bootstrap_distribution(graph, chain, spec, options));
-      expect_same(bootstrap_expectation(fx.bp, fx.data, NeglectSpec::none(1), obs, options),
-                  bootstrap_expectation(graph, chain, spec, obs, options));
-    }
-  }
-  // The golden fixture: full and golden data under their own specs.
-  Rng rng(4);
-  circuit::GoldenAnsatzOptions options;
-  options.num_qubits = 5;
-  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
-  const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
-  NeglectSpec golden(1);
-  golden.neglect(0, ansatz.golden_basis);
-  backend::StatevectorBackend backend(11);
-  ExecutionOptions exec;
-  exec.shots_per_variant = 4000;
-  const DiagonalObservable parity = DiagonalObservable::parity(5);
-  BootstrapOptions boot;
-  boot.replicas = 100;
-  for (const NeglectSpec& spec : {NeglectSpec::none(1), golden}) {
-    const FragmentData data = execute_fragments(bp, spec, backend, exec);
-    const ChainFragmentData chain_data =
-        execute_chain(graph, ChainNeglectSpec({spec}), backend, exec);
-    ASSERT_EQ(to_chain(data).fragments[0].variants, chain_data.fragments[0].variants);
-    ASSERT_EQ(to_chain(data).fragments[1].variants, chain_data.fragments[1].variants);
-    expect_same(bootstrap_expectation(bp, data, spec, parity, boot),
-                bootstrap_expectation(graph, chain_data, ChainNeglectSpec({spec}), parity, boot));
-  }
 }
 
 }  // namespace

@@ -22,17 +22,28 @@
 namespace qcut::cutting {
 namespace {
 
-Bipartition make_test_bipartition(std::uint64_t seed) {
+FragmentGraph make_test_graph(std::uint64_t seed) {
   Rng rng(seed);
   circuit::GoldenAnsatzOptions options;
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  return make_bipartition(ansatz.circuit, cuts);
+  return make_fragment_graph(ansatz.circuit, cuts);
+}
+
+/// Variant of the upstream fragment (fragment 0) for one setting tuple.
+FragmentVariant upstream_variant(const FragmentGraph& graph, std::uint32_t setting) {
+  return make_fragment_variant(graph, 0, FragmentVariantKey{0, setting});
+}
+
+/// Variant of the downstream fragment (fragment 1) for one prep tuple.
+FragmentVariant downstream_variant(const FragmentGraph& graph, std::uint32_t prep) {
+  return make_fragment_variant(graph, 1, FragmentVariantKey{prep, 0});
 }
 
 TEST(Variants, UpstreamVariantRealizesTomographicMeasurement) {
-  const Bipartition bp = make_test_bipartition(1);
+  const FragmentGraph graph = make_test_graph(1);
+  const Bipartition bp = to_bipartition(graph);
   const int cut_qubit = bp.cuts[0].f1_qubit;
 
   sim::StateVector psi(bp.f1_width());
@@ -44,8 +55,8 @@ TEST(Variants, UpstreamVariantRealizesTomographicMeasurement) {
   };
   for (const Case test_case : {Case{MeasSetting::X, Pauli::X}, Case{MeasSetting::Y, Pauli::Y},
                                Case{MeasSetting::Z, Pauli::Z}}) {
-    const UpstreamVariant variant = make_upstream_variant(
-        bp, encode_settings(std::array{test_case.setting}));
+    const FragmentVariant variant =
+        upstream_variant(graph, encode_settings(std::array{test_case.setting}));
 
     sim::StateVector rotated(bp.f1_width());
     rotated.apply_circuit(variant.circuit);
@@ -73,12 +84,12 @@ TEST(Variants, UpstreamVariantRealizesTomographicMeasurement) {
 }
 
 TEST(Variants, DownstreamVariantEqualsPreparedFragment) {
-  const Bipartition bp = make_test_bipartition(2);
+  const FragmentGraph graph = make_test_graph(2);
+  const Bipartition bp = to_bipartition(graph);
   const int cut_qubit = bp.cuts[0].f2_qubit;
 
   for (linalg::PrepState prep : linalg::kAllPrepStates) {
-    const DownstreamVariant variant =
-        make_downstream_variant(bp, encode_preps(std::array{prep}));
+    const FragmentVariant variant = downstream_variant(graph, encode_preps(std::array{prep}));
 
     sim::StateVector via_variant(bp.f2_width());
     via_variant.apply_circuit(variant.circuit);
@@ -129,21 +140,22 @@ TEST(Variants, TwoCutIndicesCombineMixedRadix) {
 }
 
 TEST(Variants, VariantCircuitsExtendFragments) {
-  const Bipartition bp = make_test_bipartition(3);
-  const UpstreamVariant x_variant =
-      make_upstream_variant(bp, encode_settings(std::array{MeasSetting::X}));
+  const FragmentGraph graph = make_test_graph(3);
+  const Bipartition bp = to_bipartition(graph);
+  const FragmentVariant x_variant =
+      upstream_variant(graph, encode_settings(std::array{MeasSetting::X}));
   EXPECT_EQ(x_variant.circuit.num_ops(), bp.f1.num_ops() + 1);  // one H appended
 
-  const UpstreamVariant z_variant =
-      make_upstream_variant(bp, encode_settings(std::array{MeasSetting::Z}));
+  const FragmentVariant z_variant =
+      upstream_variant(graph, encode_settings(std::array{MeasSetting::Z}));
   EXPECT_EQ(z_variant.circuit.num_ops(), bp.f1.num_ops());  // Z: nothing appended
 
-  const DownstreamVariant zplus =
-      make_downstream_variant(bp, encode_preps(std::array{linalg::PrepState::ZPlus}));
+  const FragmentVariant zplus =
+      downstream_variant(graph, encode_preps(std::array{linalg::PrepState::ZPlus}));
   EXPECT_EQ(zplus.circuit.num_ops(), bp.f2.num_ops());  // |0>: nothing prepended
 
-  const DownstreamVariant yminus =
-      make_downstream_variant(bp, encode_preps(std::array{linalg::PrepState::YMinus}));
+  const FragmentVariant yminus =
+      downstream_variant(graph, encode_preps(std::array{linalg::PrepState::YMinus}));
   EXPECT_EQ(yminus.circuit.num_ops(), bp.f2.num_ops() + 3);  // X, H, S prepended
 }
 

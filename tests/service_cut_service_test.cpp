@@ -1,6 +1,6 @@
 // CutService behavior: job queue, cross-request variant dedup, fragment
 // cache integration, and bit-for-bit equivalence with the direct
-// execute_fragments + reconstruct_distribution path under every GoldenMode.
+// execute_chain + reconstruct_distribution path under every GoldenMode.
 
 #include "service/cut_service.hpp"
 
@@ -21,6 +21,7 @@
 #include "cutting/reconstructor.hpp"
 #include "cutting/variants.hpp"
 #include "sim/statevector.hpp"
+#include "support/chain_reference.hpp"
 #include "support/run_cut.hpp"
 
 namespace qcut::service {
@@ -39,14 +40,14 @@ circuit::GoldenAnsatz make_ansatz(int n, std::uint64_t seed) {
   return circuit::make_golden_ansatz(options, rng);
 }
 
-/// Mirror of the pre-service direct pipeline (execute_fragments +
-/// reconstruct_distribution): the reference the service must match
-/// bit-for-bit at equal seeds.
+/// The direct pipeline (execute_chain + reconstruct_distribution, with
+/// DetectOnline replayed wave by wave): the reference the service must
+/// match bit-for-bit at equal seeds.
 std::vector<double> direct_raw_probabilities(const circuit::Circuit& circuit,
                                              std::span<const WirePoint> cuts,
                                              backend::Backend& backend,
                                              const CutRunOptions& options) {
-  const cutting::Bipartition bp = cutting::make_bipartition(circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(circuit, cuts);
 
   cutting::ExecutionOptions exec;
   exec.shots_per_variant = options.shots_per_variant;
@@ -55,44 +56,32 @@ std::vector<double> direct_raw_probabilities(const circuit::Circuit& circuit,
   exec.pool = options.pool;
   exec.seed_stream_base = options.seed_stream_base;
 
-  NeglectSpec spec{1};
-  cutting::FragmentData data;
+  cutting::ChainNeglectSpec specs;
+  cutting::ChainFragmentData data;
   switch (options.golden_mode) {
     case GoldenMode::None:
-      spec = NeglectSpec::none(bp.num_cuts());
-      data = cutting::execute_fragments(bp, spec, backend, exec);
+      specs = cutting::ChainNeglectSpec::none(graph);
+      data = cutting::execute_chain(graph, specs, backend, exec);
       break;
     case GoldenMode::Provided:
-      spec = *options.provided_spec;
-      data = cutting::execute_fragments(bp, spec, backend, exec);
+      specs = cutting::ChainNeglectSpec({*options.provided_spec});
+      data = cutting::execute_chain(graph, specs, backend, exec);
       break;
-    case GoldenMode::DetectExact:
-      spec = cutting::detect_golden_exact(bp, options.golden_tol).to_spec();
-      data = cutting::execute_fragments(bp, spec, backend, exec);
-      break;
-    case GoldenMode::DetectOnline: {
-      const NeglectSpec full = NeglectSpec::none(bp.num_cuts());
-      cutting::FragmentData upstream = cutting::execute_upstream_only(bp, full, backend, exec);
-      std::uint64_t num_settings = 1;
-      for (int k = 0; k < upstream.num_cuts; ++k) num_settings *= cutting::kNumMeasSettings;
-      std::vector<std::vector<double>> ordered(num_settings);
-      for (std::uint32_t s = 0; s < num_settings; ++s) {
-        ordered[s] = upstream.upstream_distribution(s);
-      }
-      spec = cutting::detect_golden_from_counts(bp, ordered, upstream.shots_per_variant,
-                                                options.online)
-                 .to_spec();
-      cutting::FragmentData downstream =
-          cutting::execute_downstream_only(bp, spec, backend, exec);
-      data = std::move(upstream);
-      data.downstream = std::move(downstream.downstream);
+    case GoldenMode::DetectExact: {
+      const cutting::Bipartition bp = cutting::make_bipartition(circuit, cuts);
+      specs = cutting::ChainNeglectSpec(
+          {cutting::detect_golden_exact(bp, options.golden_tol).to_spec()});
+      data = cutting::execute_chain(graph, specs, backend, exec);
       break;
     }
+    case GoldenMode::DetectOnline:
+      specs = cutting::replay_online_waves(graph, options, backend, data);
+      break;
   }
 
   cutting::ReconstructionOptions recon;
   recon.pool = options.pool;
-  return cutting::reconstruct_distribution(bp, data, spec, recon).raw_probabilities;
+  return cutting::reconstruct_distribution(graph, data, specs, recon).raw_probabilities;
 }
 
 TEST(CutService, MatchesDirectPathBitForBitUnderAllGoldenModes) {
@@ -127,6 +116,12 @@ TEST(CutService, MatchesDirectPathBitForBitUnderAllGoldenModes) {
     online.options.shots_per_variant = 4000;
     online.options.golden_mode = GoldenMode::DetectOnline;
     cases.push_back(online);
+
+    Case online_budget{"DetectOnline/budget", {}};
+    online_budget.options.shots_per_variant = 0;
+    online_budget.options.total_shot_budget = 36000;
+    online_budget.options.golden_mode = GoldenMode::DetectOnline;
+    cases.push_back(online_budget);
   }
 
   for (const Case& c : cases) {
@@ -391,18 +386,21 @@ TEST(CutService, ObservableAutoPlanMatchesDirectEstimatePathBitForBit) {
       cutting::DiagonalObservable::from_pauli(circuit::PauliString::parse("ZZI"));
 
   // Direct path: observable-aware plan, observable-specific detection,
-  // direct fragment execution, estimate_expectation.
+  // direct chain execution, reconstruct_diagonal_expectation.
   const auto plan = cutting::plan_best_single_cut(circuit, obs);
   ASSERT_TRUE(plan.has_value());
   const std::array<WirePoint, 1> cuts = {plan->point};
   const cutting::Bipartition bp = cutting::make_bipartition(circuit, cuts);
-  const NeglectSpec spec = cutting::detect_golden_for_observable(bp, obs).to_spec();
+  const cutting::ChainNeglectSpec spec(
+      {cutting::detect_golden_for_observable(bp, obs).to_spec()});
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(circuit, cuts);
 
   backend::StatevectorBackend direct_backend(61);
   cutting::ExecutionOptions exec;
   exec.shots_per_variant = 2500;
-  const cutting::FragmentData data = cutting::execute_fragments(bp, spec, direct_backend, exec);
-  const double expected = cutting::estimate_expectation(bp, data, spec, obs);
+  const cutting::ChainFragmentData data = cutting::execute_chain(graph, spec, direct_backend, exec);
+  const double expected =
+      cutting::reconstruct_diagonal_expectation(graph, data, spec, obs.diagonal());
 
   // Service path: the same request expressed as an auto-planned
   // observable-target CutRequest.
